@@ -52,6 +52,7 @@ var godocGated = []string{
 	filepath.Join("internal", "service"),
 	filepath.Join("internal", "obs"),
 	filepath.Join("internal", "traceq"),
+	filepath.Join("internal", "jsonlog"),
 }
 
 // run performs all checks and returns the sorted problem list.

@@ -7,8 +7,8 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strings"
 
+	"repro/internal/jsonlog"
 	"repro/internal/machine"
 )
 
@@ -248,12 +248,12 @@ func AggregateRecords(spec Spec, label string, recs []Record) (*Aggregate, error
 }
 
 // AggregateFiles reads one or more JSONL shard files and aggregates
-// them (see AggregateRecords). Unlike the lenient resume-path reader,
-// every input must actually contribute: a missing file, an empty file,
-// or a file whose lines all fail to parse as repro-campaign/v1 records
-// is reported per file and fails the aggregation — a shard artifact
-// that silently contributes nothing would otherwise surface only as a
-// confusing "runs missing" error, or worse, not at all.
+// them (see AggregateRecords). Every input must actually contribute: a
+// missing file, an empty file, or one with a line that is not a
+// repro-campaign/v1 record is reported per file and fails the
+// aggregation — a shard artifact that silently contributes nothing
+// would otherwise surface only as a confusing "runs missing" error, or
+// worse, not at all.
 func AggregateFiles(spec Spec, label string, paths ...string) (*Aggregate, error) {
 	var recs []Record
 	for _, p := range paths {
@@ -267,49 +267,24 @@ func AggregateFiles(spec Spec, label string, paths ...string) (*Aggregate, error
 }
 
 // ReadShardFile reads one JSONL shard input strictly, for aggregation:
-// the file must exist and yield at least one repro-campaign/v1 record.
-// The error diagnoses what the file held instead — nothing at all,
-// unparseable lines (beyond the one torn tail a killed campaign may
-// leave), or records of a foreign schema.
+// the file must exist, read cleanly under ReadRecords' line policy, and
+// yield at least one repro-campaign/v1 record. The error names the file
+// and, for a bad line, its byte offset.
 func ReadShardFile(path string) ([]Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: shard input %s: %w", path, err)
 	}
-	var (
-		recs                 []Record
-		lines, bad, foreign  int
-		firstForeign, sample string
-	)
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		lines++
-		var rec Record
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			bad++
-			continue
-		}
-		if rec.Schema != RunSchema {
-			foreign++
-			if firstForeign == "" {
-				firstForeign = rec.Schema
-			}
-			continue
-		}
-		recs = append(recs, rec)
+	recs, torn, err := jsonlog.Read(path, data, RunSchema, checkRecord)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: shard input %w", err)
 	}
 	if len(recs) == 0 {
-		switch {
-		case lines == 0:
-			sample = "file is empty"
-		case foreign > 0:
-			sample = fmt.Sprintf("%d line(s), none with schema %q (first foreign schema %q)", lines, RunSchema, firstForeign)
-		default:
-			sample = fmt.Sprintf("%d line(s), none parse as JSON records", lines)
+		why := "file is empty"
+		if torn >= 0 {
+			why = fmt.Sprintf("only a torn line at byte %d", torn)
 		}
-		return nil, fmt.Errorf("campaign: shard input %s holds no %s records: %s", path, RunSchema, sample)
+		return nil, fmt.Errorf("campaign: shard input %s holds no %s records: %s", path, RunSchema, why)
 	}
 	return recs, nil
 }

@@ -2,8 +2,10 @@ package campaign
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -77,6 +79,16 @@ func TestResumeAfterKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The resumed writer sealed the tear in place: the fragment is
+	// followed by one seal line citing the offset where it was cut.
+	resumed, err := os.ReadFile(crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seal := fmt.Sprintf("\n{\"schema\":%q,\"kind\":\"seal\",\"offset\":%d}\n", RunSchema, len(partial))
+	if !bytes.HasPrefix(resumed, append(partial, seal...)) {
+		t.Errorf("resumed file does not seal the torn tail with %q", seal)
+	}
 	if st.Resumed != len(kept) {
 		t.Errorf("resume skipped %d runs, want %d", st.Resumed, len(kept))
 	}
@@ -106,6 +118,45 @@ func TestResumeAfterKill(t *testing.T) {
 	}
 	if st.Executed != 0 || st.Resumed != st.Planned {
 		t.Errorf("resume of a complete campaign executed %d runs", st.Executed)
+	}
+}
+
+// TestTruncatedMidFileLineFails: a record line cut short in the middle
+// of a campaign file (not the torn tail a kill leaves) is corruption.
+// Aggregation and -resume both refuse the file, naming it and the byte
+// offset of the bad line, instead of reporting a run missing or
+// silently re-running it; the refused resume leaves the file as it was.
+func TestTruncatedMidFileLineFails(t *testing.T) {
+	spec := testSpec()
+	dir := t.TempDir()
+	runAndAggregate(t, spec, dir, "full")
+	full, err := os.ReadFile(filepath.Join(dir, "full.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(full, []byte("\n"))
+	bad := len(lines) / 2
+	offset := len(bytes.Join(lines[:bad], nil))
+	lines[bad] = append(lines[bad][:len(lines[bad])/2:len(lines[bad])/2], '\n')
+	corrupt := filepath.Join(dir, "corrupt.jsonl")
+	data := bytes.Join(lines, nil)
+	if err := os.WriteFile(corrupt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	where := fmt.Sprintf("at byte %d", offset)
+
+	if _, err := AggregateFiles(spec, "test", corrupt); err == nil || !strings.Contains(err.Error(), corrupt) || !strings.Contains(err.Error(), where) {
+		t.Errorf("AggregateFiles error %v does not name %s %s", err, corrupt, where)
+	}
+	if _, err := Run(Options{Spec: spec, Out: corrupt, Resume: true}); err == nil || !strings.Contains(err.Error(), corrupt) || !strings.Contains(err.Error(), where) {
+		t.Errorf("resume error %v does not name %s %s", err, corrupt, where)
+	}
+	after, err := os.ReadFile(corrupt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, data) {
+		t.Error("a refused resume changed the file")
 	}
 }
 

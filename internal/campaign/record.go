@@ -1,11 +1,11 @@
 package campaign
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
+
+	"repro/internal/jsonlog"
 )
 
 // Record is one run's result — one line of the campaign's JSONL stream
@@ -52,92 +52,65 @@ type Record struct {
 	Transient bool `json:"transient,omitempty"`
 }
 
-// Writer streams records to a JSONL file as they complete. Each record
-// is one O_APPEND write of one full line, so a killed campaign leaves
-// at worst a single torn trailing line — which the reader skips — and
-// every complete line is durable: the crash-safety contract -resume
-// relies on.
+// Writer streams records to a JSONL log as they complete (see
+// internal/jsonlog): each record is one O_APPEND write of one full
+// line, so a killed campaign leaves at worst a single torn trailing
+// line and every complete line is durable — the crash-safety contract
+// -resume relies on.
 type Writer struct {
-	mu sync.Mutex
-	f  *os.File
+	log *jsonlog.Log
 }
 
 // NewWriter opens path for appending records. With resume false the
 // file is truncated (a fresh campaign); with resume true existing
-// records are kept and new ones append after them.
+// records are kept, a torn trailing line is sealed, and new records
+// append after them.
 func NewWriter(path string, resume bool) (*Writer, error) {
-	flags := os.O_CREATE | os.O_RDWR | os.O_APPEND
-	if !resume {
-		flags |= os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
+	log, err := jsonlog.Open(path, RunSchema, resume, false)
 	if err != nil {
 		return nil, err
 	}
-	if resume {
-		// Seal a torn trailing line (the append a kill cut short):
-		// without the newline, the first resumed record would be
-		// appended onto the fragment and both lines would be lost.
-		if st, err := f.Stat(); err == nil && st.Size() > 0 {
-			tail := make([]byte, 1)
-			if _, err := f.ReadAt(tail, st.Size()-1); err == nil && tail[0] != '\n' {
-				if _, err := f.Write([]byte("\n")); err != nil {
-					f.Close()
-					return nil, err
-				}
-			}
-		}
-	}
-	return &Writer{f: f}, nil
+	return &Writer{log: log}, nil
 }
 
-// Write appends one record.
+// Write appends one record. It is safe for concurrent use.
 func (w *Writer) Write(rec Record) error {
 	data, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, err = w.f.Write(data)
-	return err
+	return w.log.Append(append(data, '\n'))
 }
 
 // Close closes the underlying file.
-func (w *Writer) Close() error { return w.f.Close() }
+func (w *Writer) Close() error { return w.log.Close() }
 
-// ReadRecords parses a JSONL file, skipping unparseable lines (the
-// torn tail of a killed campaign) and records from other schemas. A
-// missing file yields no records and no error — resuming into a fresh
-// path is a fresh start.
+// ReadRecords reads a JSONL file strictly (see jsonlog.Read): a torn
+// tail is skipped, and any other line that is not a repro-campaign/v1
+// record fails the read with the file and byte offset. A missing file
+// yields no records and no error — resuming into a fresh path is a
+// fresh start.
 func ReadRecords(path string) ([]Record, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, nil
 		}
 		return nil, err
 	}
-	defer f.Close()
-	var out []Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Schema != RunSchema {
-			continue
-		}
-		out = append(out, rec)
+	recs, _, err := jsonlog.Read(path, data, RunSchema, checkRecord)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	return recs, nil
+}
+
+// checkRecord is the per-line check of a campaign log: the schema tag.
+func checkRecord(rec *Record) error {
+	if rec.Schema != RunSchema {
+		return fmt.Errorf("foreign schema %q (want schema %q)", rec.Schema, RunSchema)
 	}
-	return out, nil
+	return nil
 }
 
 // ReadKeys returns the set of run keys already *decided* in the JSONL

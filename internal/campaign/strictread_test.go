@@ -8,9 +8,10 @@ import (
 )
 
 // TestReadShardFileDiagnostics pins the per-file errors aggregation
-// inputs produce: missing, empty and schema-foreign shard files each
-// fail with a message naming the file and the failure mode, instead of
-// silently contributing zero records to a partial aggregate.
+// inputs produce: missing, empty, torn-only, garbage and schema-foreign
+// shard files each fail with a message naming the file and the failure
+// mode (and the byte offset of a bad line), instead of silently
+// contributing zero records to a partial aggregate.
 func TestReadShardFileDiagnostics(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) string {
@@ -31,7 +32,10 @@ func TestReadShardFileDiagnostics(t *testing.T) {
 		{"blank lines only", write("blank.jsonl", "\n\n\n"), []string{"blank.jsonl", "file is empty"}},
 		{"foreign schema", write("foreign.jsonl", `{"schema":"repro-bench/v1","key":"x"}`+"\n"),
 			[]string{"foreign.jsonl", `schema "repro-campaign/v1"`, `"repro-bench/v1"`}},
-		{"garbage", write("garbage.jsonl", "not json\nalso not\n"), []string{"garbage.jsonl", "none parse as JSON"}},
+		{"garbage", write("garbage.jsonl", "not json\nalso not\n"), []string{"garbage.jsonl", "not valid JSON", "at byte 0"}},
+		{"torn line only", write("torn.jsonl", `{"schema":"repro-campaign/v1","key":"torn`), []string{"torn.jsonl", "only a torn line at byte 0"}},
+		{"foreign line mid-file", write("mixed.jsonl", `{"schema":"repro-campaign/v1","key":"a"}`+"\n"+`{"schema":"repro-bench/v1","key":"x"}`+"\n"+`{"schema":"repro-campaign/v1","key":"b"}`+"\n"),
+			[]string{"mixed.jsonl", `foreign schema "repro-bench/v1"`, "at byte 41"}},
 	}
 	for _, tc := range cases {
 		_, err := ReadShardFile(tc.path)

@@ -19,6 +19,10 @@ type Trace struct {
 	Events []Event
 }
 
+// maxPreallocEvents caps the event capacity ReadTrace reserves from a
+// header's count; longer traces grow by append.
+const maxPreallocEvents = 1 << 16
+
 // ReadTrace parses one repro-trace/v1 JSONL stream. It is strict: the
 // header must carry the expected schema and its event count must match
 // the number of event lines, so a truncated or foreign file fails
@@ -39,7 +43,12 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if hdr.Schema != TraceSchema {
 		return nil, fmt.Errorf("obs: trace schema %q, want %q", hdr.Schema, TraceSchema)
 	}
-	tr := &Trace{Key: hdr.Key, Seed: hdr.Seed, Events: make([]Event, 0, hdr.Events)}
+	if hdr.Events < 0 {
+		return nil, fmt.Errorf("obs: trace %q: negative event count %d", hdr.Key, hdr.Events)
+	}
+	// The header is outside input: trust its count for the capacity only
+	// up to a bound, so a corrupt count cannot demand unbounded memory.
+	tr := &Trace{Key: hdr.Key, Seed: hdr.Seed, Events: make([]Event, 0, min(hdr.Events, maxPreallocEvents))}
 	for sc.Scan() {
 		var ev Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {

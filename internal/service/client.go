@@ -173,7 +173,7 @@ func (cl *Client) CampaignStream(req CampaignRequest, fn func(campaign.Record) e
 		}
 		var rec campaign.Record
 		if err := json.Unmarshal(raw, &rec); err != nil || rec.Schema != campaign.RunSchema {
-			continue // the summary line, or a foreign line — skip like ReadRecords does
+			continue // the summary line, or a foreign line
 		}
 		if err := fn(rec); err != nil {
 			return err

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/campaign"
+	"repro/internal/jsonlog"
 )
 
 // JournalSchema is the version tag every run-journal line carries.
@@ -23,16 +24,15 @@ const JournalSchema = "repro-journal/v1"
 // journal directory (next to snapshotFile).
 const journalFile = "journal.jsonl"
 
-// JournalEntry is one line of the repro-journal/v1 stream. Three kinds
-// record the server's durable history — "accept" (a run was scheduled),
-// "run" (a run completed, Record carried inline), "campaign" (a
-// campaign request was admitted) — and "seal" marks the spot where a
-// reopening writer sealed a torn trailing line left by a crash, so a
-// reader can tell a sealed tear from mid-file corruption.
+// JournalEntry is one line of the repro-journal/v1 stream, an
+// internal/jsonlog log. Three kinds record the server's durable
+// history: "accept" (a run was scheduled), "run" (a run completed,
+// Record carried inline) and "campaign" (a campaign request was
+// admitted). The log's own seal lines never reach the caller.
 type JournalEntry struct {
 	// Schema is "repro-journal/v1".
 	Schema string `json:"schema"`
-	// Kind is "accept", "run", "campaign" or "seal".
+	// Kind is "accept", "run" or "campaign".
 	Kind string `json:"kind"`
 	// ID is the run identity (accept/run): the run key, derived seed
 	// and solve parameters that make two requests the same run.
@@ -48,9 +48,6 @@ type JournalEntry struct {
 	Digest string `json:"digest,omitempty"`
 	// Runs is the campaign's planned run count (kind "campaign").
 	Runs int `json:"runs,omitempty"`
-	// Offset is the byte offset at which a torn tail was sealed
-	// (kind "seal").
-	Offset int64 `json:"offset,omitempty"`
 }
 
 // JournalSink is the append target of the run journal. The server
@@ -59,7 +56,7 @@ type JournalEntry struct {
 // snapshot has captured its state, and Close releases the file.
 // Implementations must tolerate serialized calls from multiple
 // goroutines (the journal layer holds its own lock around every call).
-// The production sink is OpenJournal's file sink; the kill-and-replay
+// The production sink is OpenJournal's jsonlog.Log; the kill-and-replay
 // harness injects a CrashSink wrapper instead.
 type JournalSink interface {
 	Append(line []byte) error
@@ -68,70 +65,24 @@ type JournalSink interface {
 	Close() error
 }
 
-// fileSink is the production JournalSink: O_APPEND writes to
-// journal.jsonl with an optional fsync per append.
-type fileSink struct {
-	f    *os.File
-	sync bool
-}
-
 // OpenJournal opens (creating if missing) the journal file inside dir
-// for appending and returns the production sink. A torn trailing line —
-// the append a crash cut short — is sealed first: a newline closes the
-// fragment and a "seal" entry records the offset, so readers skip the
-// fragment instead of mistaking it for corruption. fsync true makes
-// every append a durability barrier ("always" policy); false leaves
-// flushing to the OS ("off" — faster, and a crash may lose the last
-// few appends but never tears the resume contract, because lost runs
-// simply re-execute).
+// for appending and returns the production sink, a jsonlog.Log. A torn
+// trailing line — the append a crash cut short — is sealed first, so
+// readers skip the fragment instead of mistaking it for corruption.
+// fsync true makes every append a durability barrier ("always"
+// policy); false leaves flushing to the OS ("off" — faster, and a crash
+// may lose the last few appends but never tears the resume contract,
+// because lost runs simply re-execute).
 func OpenJournal(dir string, fsync bool) (JournalSink, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	path := filepath.Join(dir, journalFile)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	log, err := jsonlog.Open(filepath.Join(dir, journalFile), JournalSchema, true, fsync)
 	if err != nil {
 		return nil, err
 	}
-	s := &fileSink{f: f, sync: fsync}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if size := st.Size(); size > 0 {
-		tail := make([]byte, 1)
-		if _, err := f.ReadAt(tail, size-1); err == nil && tail[0] != '\n' {
-			seal, _ := json.Marshal(JournalEntry{Schema: JournalSchema, Kind: "seal", Offset: size})
-			if _, err := f.Write(append([]byte("\n"), append(seal, '\n')...)); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
-	}
-	return s, nil
+	return log, nil
 }
-
-// Append implements JournalSink.
-func (s *fileSink) Append(line []byte) error {
-	if _, err := s.f.Write(line); err != nil {
-		return err
-	}
-	if s.sync {
-		return s.f.Sync()
-	}
-	return nil
-}
-
-// Sync implements JournalSink.
-func (s *fileSink) Sync() error { return s.f.Sync() }
-
-// Rotate implements JournalSink: the snapshot has captured everything,
-// so the journal restarts empty.
-func (s *fileSink) Rotate() error { return s.f.Truncate(0) }
-
-// Close implements JournalSink.
-func (s *fileSink) Close() error { return s.f.Close() }
 
 // JournalRead is the result of reading one journal file: the entries in
 // append order, plus the byte offset of a torn trailing line when the
@@ -146,22 +97,17 @@ type JournalRead struct {
 	TornOffset int64
 }
 
-// ReadJournal parses the journal inside dir with crash-shaped
-// tolerance and everything-else strictness: a missing or empty file is
-// a fresh start; a final line cut mid-append (no terminating newline,
-// or unparseable and last) is reported as the torn tail and skipped; an
-// unparseable line that a reopening writer already sealed (the next
-// line is a "seal" entry) is skipped. Any other failure — mid-file
-// garbage, a foreign schema tag, an entry missing its kind's required
-// fields — fails hard, naming the file and the byte offset, because a
-// journal that cannot be trusted must not silently under-resume.
+// ReadJournal parses the journal inside dir under the jsonlog policy:
+// a missing or empty file is a fresh start; a torn final line is
+// reported as the torn tail and skipped, and a tear a reopening writer
+// already sealed is skipped. Any other failure — mid-file garbage, a
+// foreign schema tag, an entry missing its kind's required fields —
+// fails hard, naming the file and the byte offset, because a journal
+// that cannot be trusted must not silently under-resume.
 func ReadJournal(dir string) (*JournalRead, error) {
 	path := filepath.Join(dir, journalFile)
 	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return &JournalRead{TornOffset: -1}, nil
-		}
+	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
 	return parseJournal(path, data)
@@ -170,103 +116,36 @@ func ReadJournal(dir string) (*JournalRead, error) {
 // parseJournal is ReadJournal over in-memory bytes (the fuzz target's
 // entry point). name is used in diagnostics only.
 func parseJournal(name string, data []byte) (*JournalRead, error) {
-	jr := &JournalRead{TornOffset: -1}
-	var offset int64
-	// Split keeping track of byte offsets; the final element is torn
-	// when the file does not end in a newline.
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		line := data
-		terminated := nl >= 0
-		if terminated {
-			line = data[:nl]
-			data = data[nl+1:]
-		} else {
-			data = nil
-		}
-		lineStart := offset
-		offset += int64(len(line))
-		if terminated {
-			offset++
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		e, perr := parseJournalLine(line)
-		if !terminated {
-			// The append a crash cut short — even if the fragment
-			// happens to parse, the write never completed, so the run
-			// (if any) re-executes on resume.
-			jr.TornOffset = lineStart
-			return jr, nil
-		}
-		if perr != nil {
-			// A sealed tear is forgiven: the reopening writer marked it.
-			if sealed, skip := sealFollows(data); sealed {
-				data = skip
-				continue
-			}
-			if len(bytes.TrimSpace(data)) == 0 {
-				// Unparseable final line (crash after the newline made
-				// it to disk, content did not): torn tail.
-				jr.TornOffset = lineStart
-				return jr, nil
-			}
-			return nil, fmt.Errorf("journal %s: %s at byte %d", name, perr, lineStart)
-		}
-		if e.Kind == "seal" {
-			// A seal with no preceding tear (the tear's bytes never
-			// reached disk): nothing to forgive.
-			continue
-		}
-		jr.Entries = append(jr.Entries, e)
+	entries, torn, err := jsonlog.Read(name, data, JournalSchema, (*JournalEntry).validate)
+	if err != nil {
+		return nil, fmt.Errorf("journal %w", err)
 	}
-	return jr, nil
+	return &JournalRead{Entries: entries, TornOffset: torn}, nil
 }
 
-// parseJournalLine decodes and structurally validates one line. The
-// returned error is diagnostic text without position (the caller adds
-// file and offset).
-func parseJournalLine(line []byte) (JournalEntry, error) {
-	var e JournalEntry
-	if err := json.Unmarshal(line, &e); err != nil {
-		return e, fmt.Errorf("corrupt entry (not valid JSON)")
-	}
+// validate checks one decoded entry structurally. The error is
+// diagnostic text without position (the reader adds file and offset).
+func (e *JournalEntry) validate() error {
 	if e.Schema != JournalSchema {
-		return e, fmt.Errorf("foreign schema %q (want %q)", e.Schema, JournalSchema)
+		return fmt.Errorf("foreign schema %q (want %q)", e.Schema, JournalSchema)
 	}
 	switch e.Kind {
 	case "accept":
 		if e.ID == "" {
-			return e, fmt.Errorf("accept entry missing id")
+			return fmt.Errorf("accept entry missing id")
 		}
 	case "run":
 		if e.ID == "" || e.Record == nil {
-			return e, fmt.Errorf("run entry missing id or record")
+			return fmt.Errorf("run entry missing id or record")
 		}
 	case "campaign":
 		if e.Digest == "" {
-			return e, fmt.Errorf("campaign entry missing digest")
+			return fmt.Errorf("campaign entry missing digest")
 		}
-	case "seal":
 	default:
-		return e, fmt.Errorf("unknown kind %q", e.Kind)
+		return fmt.Errorf("unknown kind %q", e.Kind)
 	}
-	return e, nil
-}
-
-// sealFollows reports whether rest begins with a terminated "seal"
-// entry, returning the remainder after it when so.
-func sealFollows(rest []byte) (bool, []byte) {
-	nl := bytes.IndexByte(rest, '\n')
-	if nl < 0 {
-		return false, rest
-	}
-	e, err := parseJournalLine(rest[:nl])
-	if err != nil || e.Kind != "seal" {
-		return false, rest
-	}
-	return true, rest[nl+1:]
+	return nil
 }
 
 // runIdentity is the journal's notion of "the same run": the cell run

@@ -78,7 +78,7 @@ func TestJournalReaderDiagnostics(t *testing.T) {
 		},
 		{
 			name:        "sealed tear is skipped",
-			content:     accept("a") + run(t, "a")[:20] + "\n" + journalLine(t, JournalEntry{Kind: "seal", Offset: 99}) + accept("b"),
+			content:     accept("a") + run(t, "a")[:20] + "\n" + `{"schema":"repro-journal/v1","kind":"seal","offset":99}` + "\n" + accept("b"),
 			wantEntries: 2,
 		},
 		{

@@ -16,8 +16,8 @@ const Schema = "repro-solve/v1"
 
 // SummarySchema tags the trailing summary line of a campaign stream
 // (the run records themselves carry campaign.RunSchema, so a reader
-// that only wants records can filter by schema exactly like
-// campaign.ReadRecords does).
+// that only wants records can filter by schema, as
+// Client.CampaignStream does).
 const SummarySchema = "repro-solve/v1-campaign-summary"
 
 // SolveRequest is the body of POST /v1/solve: one (cell, replicate) of

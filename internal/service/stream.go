@@ -122,8 +122,8 @@ func (s *Server) streamRecorded(w http.ResponseWriter, reqID string, rec campaig
 // streams each completed run as one NDJSON campaign.Record line
 // (completion order — arbitrary, exactly like a local engine's JSONL),
 // followed by a CampaignSummary line. Record lines carry the
-// repro-campaign/v1 schema tag, so campaign.ReadRecords-style readers
-// can consume the stream unchanged and skip the summary. A client
+// repro-campaign/v1 schema tag, so a reader filtering by schema
+// consumes the records and skips the summary. A client
 // that disconnects mid-stream stops the feeder at the next run: work
 // already queued completes, the rest is never scheduled — abandoned
 // campaigns must not monopolise the pool against live traffic.

@@ -3,6 +3,8 @@ package traceq
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -125,60 +127,7 @@ func sectionAttribution(b *bytes.Buffer, a *Analysis) {
 // time plain GMRES does not (sanitisation, extra inner reductions) and
 // where does it save it (restart recovery)?
 func sectionFTGMRESDeltas(b *bytes.Buffer, a *Analysis) {
-	// Pair cells via the solver-held-out suffix of the cell key.
-	suffix := func(cell string) (solver, rest string, ok bool) {
-		return strings.Cut(cell, "/")
-	}
-	type pair struct{ gm, ft map[string]*dist }
-	pairs := map[string]*pair{}
-	var order []string
-	for _, r := range a.Runs {
-		solver, rest, ok := suffix(r.Cell)
-		if !ok || (solver != "gmres" && solver != "ftgmres") {
-			continue
-		}
-		pr, seen := pairs[rest]
-		if !seen {
-			pr = &pair{gm: map[string]*dist{}, ft: map[string]*dist{}}
-			pairs[rest] = pr
-			order = append(order, rest)
-		}
-		side := pr.gm
-		if solver == "ftgmres" {
-			side = pr.ft
-		}
-		for _, p := range AttributionPhases() {
-			d, ok := side[p]
-			if !ok {
-				d = &dist{}
-				side[p] = d
-			}
-			d.add(r.Share(p))
-		}
-	}
-	sort.Strings(order)
-	// Aggregate over cells where both sides exist.
-	gm, ft := map[string]*dist{}, map[string]*dist{}
-	paired := 0
-	for _, rest := range order {
-		pr := pairs[rest]
-		if len(pr.gm) == 0 || len(pr.ft) == 0 {
-			continue
-		}
-		paired++
-		merge := func(into map[string]*dist, p string, side *dist) {
-			d, ok := into[p]
-			if !ok {
-				d = &dist{}
-				into[p] = d
-			}
-			d.vals = append(d.vals, side.vals...)
-		}
-		for _, p := range AttributionPhases() {
-			merge(gm, p, pr.gm[p])
-			merge(ft, p, pr.ft[p])
-		}
-	}
+	gm, ft, paired := solverPairs(a, func(*RunPhases) bool { return true }, (*RunPhases).Share)
 	b.WriteString("## ftgmres vs gmres: phase deltas\n\n")
 	if paired == 0 {
 		b.WriteString("No (ftgmres, gmres) cell pairs in this trace set.\n\n")
@@ -196,6 +145,52 @@ func sectionFTGMRESDeltas(b *bytes.Buffer, a *Analysis) {
 		fmt.Fprintf(b, "| %s | %s | %s | %s |\n", p, pct(gmean), pct(fmean), g4((fmean-gmean)*100))
 	}
 	b.WriteString("\n")
+}
+
+// solverPairs pairs the cells that differ only in solver — gmres and
+// ftgmres, matched on the rest of the cell key — among the runs keep
+// admits. Over the pairs where both solvers ran, in cell-key order, it
+// pools each side's per-phase share of every run; paired counts those
+// pairs.
+func solverPairs(a *Analysis, keep func(*RunPhases) bool, share func(*RunPhases, string) float64) (gm, ft map[string]*dist, paired int) {
+	type pair struct{ gm, ft []*RunPhases }
+	pairs := map[string]*pair{}
+	for _, r := range a.Runs {
+		solver, rest, ok := strings.Cut(r.Cell, "/")
+		if !ok || (solver != "gmres" && solver != "ftgmres") || !keep(r) {
+			continue
+		}
+		pr := pairs[rest]
+		if pr == nil {
+			pr = &pair{}
+			pairs[rest] = pr
+		}
+		if solver == "gmres" {
+			pr.gm = append(pr.gm, r)
+		} else {
+			pr.ft = append(pr.ft, r)
+		}
+	}
+	gm, ft = map[string]*dist{}, map[string]*dist{}
+	for _, p := range AttributionPhases() {
+		gm[p], ft[p] = &dist{}, &dist{}
+	}
+	for _, rest := range slices.Sorted(maps.Keys(pairs)) {
+		pr := pairs[rest]
+		if len(pr.gm) == 0 || len(pr.ft) == 0 {
+			continue
+		}
+		paired++
+		for _, p := range AttributionPhases() {
+			for _, r := range pr.gm {
+				gm[p].add(share(r, p))
+			}
+			for _, r := range pr.ft {
+				ft[p].add(share(r, p))
+			}
+		}
+	}
+	return gm, ft, paired
 }
 
 // allRankGroups groups the all-rank runs by (solver, ranks), both
@@ -360,60 +355,9 @@ func sectionCriticalPath(b *bytes.Buffer, a *Analysis) {
 		}
 		b.WriteString("\n")
 	}
-	// The selective-reliability delta on the critical path: pair cells
-	// differing only in solver, mirroring sectionFTGMRESDeltas.
-	type pair struct{ gm, ft map[string]*dist }
-	pairs := map[string]*pair{}
-	var order []string
-	for _, r := range a.Runs {
-		if !r.AllRank() {
-			continue
-		}
-		solver, rest, ok := strings.Cut(r.Cell, "/")
-		if !ok || (solver != "gmres" && solver != "ftgmres") {
-			continue
-		}
-		pr, seen := pairs[rest]
-		if !seen {
-			pr = &pair{gm: map[string]*dist{}, ft: map[string]*dist{}}
-			pairs[rest] = pr
-			order = append(order, rest)
-		}
-		side := pr.gm
-		if solver == "ftgmres" {
-			side = pr.ft
-		}
-		for _, p := range AttributionPhases() {
-			d, ok := side[p]
-			if !ok {
-				d = &dist{}
-				side[p] = d
-			}
-			d.add(r.CritShare(p))
-		}
-	}
-	sort.Strings(order)
-	gm, ft := map[string]*dist{}, map[string]*dist{}
-	paired := 0
-	for _, rest := range order {
-		pr := pairs[rest]
-		if len(pr.gm) == 0 || len(pr.ft) == 0 {
-			continue
-		}
-		paired++
-		merge := func(into map[string]*dist, p string, side *dist) {
-			d, ok := into[p]
-			if !ok {
-				d = &dist{}
-				into[p] = d
-			}
-			d.vals = append(d.vals, side.vals...)
-		}
-		for _, p := range AttributionPhases() {
-			merge(gm, p, pr.gm[p])
-			merge(ft, p, pr.ft[p])
-		}
-	}
+	// The selective-reliability delta on the critical path, over the
+	// all-rank runs.
+	gm, ft, paired := solverPairs(a, (*RunPhases).AllRank, (*RunPhases).CritShare)
 	b.WriteString("\n### ftgmres vs gmres on the critical path\n\n")
 	if paired == 0 {
 		b.WriteString("No all-rank (ftgmres, gmres) cell pairs in this trace set.\n\n")
