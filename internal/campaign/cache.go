@@ -1,4 +1,4 @@
-package service
+package campaign
 
 import (
 	"container/list"
@@ -6,14 +6,16 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/campaign"
+	"repro/internal/comm"
+	"repro/internal/dist"
 	"repro/internal/precond"
 )
 
-// CacheStats are the setup cache's hit/miss counters, exposed through
-// GET /stats. Setup counters only ever see cacheable preconditioner
-// families (campaign consults the cache for precond.Cacheable only),
-// so the hit rate measures real reuse, not structural misses.
+// CacheStats are the setup cache's hit/miss counters (solverd exposes
+// its instance's through GET /stats). Setup counters only ever see
+// cacheable preconditioner families (runs consult the cache for
+// precond.Cacheable only), so the hit rate measures real reuse, not
+// structural misses.
 type CacheStats struct {
 	ProblemHits   int64 `json:"problem_hits"`
 	ProblemMisses int64 `json:"problem_misses"`
@@ -38,13 +40,44 @@ type problemKey struct {
 // first requests for the same problem into a single build.
 type problemEntry struct {
 	once sync.Once
-	p    campaign.Problem
+	p    Problem
 	err  error
+}
+
+// planKey is one rank's slot of a problem's CSR plans.
+type planKey struct{ ranks, rank int }
+
+// csrPlans memoises the per-rank dist.CSRPlan of one cached Problem's
+// matrix. It hangs off the Problem it was derived from — never off a
+// problem name — so a plan can only ever be bound to the matrix it was
+// planned from.
+type csrPlans struct {
+	mu sync.Mutex
+	m  map[planKey]*dist.CSRPlan
+}
+
+// csr returns rank c.Rank()'s distributed slab of the problem's
+// matrix. A problem from a Cache binds its memoised plan (planning it
+// on first use); any other problem plans afresh, exactly as
+// dist.NewCSR would.
+func (p Problem) csr(c *comm.Comm) *dist.CSR {
+	if p.plans == nil {
+		return dist.NewCSR(c, p.A)
+	}
+	k := planKey{ranks: c.Size(), rank: c.Rank()}
+	p.plans.mu.Lock()
+	defer p.plans.mu.Unlock()
+	plan := p.plans.m[k]
+	if plan == nil {
+		plan = dist.PlanCSR(p.A, k.ranks, k.rank)
+		p.plans.m[k] = plan
+	}
+	return plan.Bind(c)
 }
 
 // setupEntryKey is one rank's slot of a preconditioner Setup artifact.
 type setupEntryKey struct {
-	campaign.SetupKey
+	SetupKey
 	rank int
 }
 
@@ -55,12 +88,15 @@ type setupEntry struct {
 	a   *precond.Artifact
 }
 
-// Cache shares solve-setup work across requests: problem assemblies
-// keyed by (problem, grid), and preconditioner Setup artifacts keyed by
-// (problem, grid, ranks, precond, rank). Both are immutable once
-// stored — problems are shared read-only by every rank of every run,
+// Cache shares solve-setup work across runs: problem assemblies keyed
+// by (problem, grid), each carrying its per-rank CSR plans keyed by
+// (ranks, rank), and preconditioner Setup artifacts keyed by (problem,
+// grid, ranks, precond, rank). All are immutable once stored —
+// problems and plans are shared read-only by every rank of every run,
 // and artifacts follow precond.Cacheable's read-only contract — so a
 // hit is a pure wall-clock saving with bitwise-unchanged results.
+// ExecuteRunEnv uses a process-wide instance unless its caller brings
+// its own; solverd keeps one per server.
 //
 // The setup side is bounded: SetMaxEntries caps resident artifacts and
 // evicts least-recently-used beyond the cap. Eviction is safe while a
@@ -68,10 +104,10 @@ type setupEntry struct {
 // so a run holding an evicted artifact simply finishes with it; the
 // next run for that key re-runs Setup and Adopt re-charges the exact
 // Setup virtual cost, keeping evicted-then-recomputed runs
-// byte-identical to always-cached ones. The problem side stays
-// unbounded — the problem × grid space is tiny next to the setup key
-// space (which multiplies in ranks, precond family, and per-rank
-// slots).
+// byte-identical to always-cached ones. The problem side, plans
+// included, stays unbounded — the problem × grid × ranks space is tiny
+// next to the setup key space (which multiplies in precond family and
+// per-rank slots).
 //
 // Cache is safe for concurrent use from the rank goroutines of
 // concurrently executing runs.
@@ -120,8 +156,8 @@ func (c *Cache) evictLocked() {
 
 // Problem returns the cached assembly of the named problem, building it
 // on first request. Concurrent first requests build once; everyone
-// shares the result read-only.
-func (c *Cache) Problem(name string, grid int) (campaign.Problem, error) {
+// shares the result, and the CSR plans runs derive from it, read-only.
+func (c *Cache) Problem(name string, grid int) (Problem, error) {
 	k := problemKey{name: name, grid: grid}
 	c.mu.Lock()
 	e, ok := c.problems[k]
@@ -134,14 +170,17 @@ func (c *Cache) Problem(name string, grid int) (campaign.Problem, error) {
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		e.p, e.err = campaign.BuildProblem(name, grid)
+		e.p, e.err = BuildProblem(name, grid)
+		e.p.plans = &csrPlans{m: make(map[planKey]*dist.CSRPlan)}
 	})
 	return e.p, e.err
 }
 
-// Lookup implements campaign.SetupCache. A hit freshens the entry's
-// LRU position.
-func (c *Cache) Lookup(k campaign.SetupKey, rank int) *precond.Artifact {
+// Lookup returns rank's artifact for key k, or nil on a miss (the rank
+// then runs its own Setup and offers the export back through Store).
+// A hit freshens the entry's LRU position. Runs consult Lookup and
+// Store from the rank goroutines of concurrently executing runs.
+func (c *Cache) Lookup(k SetupKey, rank int) *precond.Artifact {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.setups[setupEntryKey{SetupKey: k, rank: rank}]
@@ -154,11 +193,11 @@ func (c *Cache) Lookup(k campaign.SetupKey, rank int) *precond.Artifact {
 	return el.Value.(*setupEntry).a
 }
 
-// Store implements campaign.SetupCache. The first artifact stored for a
-// key wins; artifacts are deterministic functions of the key, so later
+// Store offers rank's Setup artifact for key k. The first artifact
+// stored for a key wins; artifacts are deterministic functions of the key, so later
 // duplicates (two concurrent misses) carry identical data anyway. A
 // duplicate store freshens the existing entry instead of reinserting.
-func (c *Cache) Store(k campaign.SetupKey, rank int, a *precond.Artifact) {
+func (c *Cache) Store(k SetupKey, rank int, a *precond.Artifact) {
 	if a == nil {
 		return
 	}
@@ -175,7 +214,7 @@ func (c *Cache) Store(k campaign.SetupKey, rank int, a *precond.Artifact) {
 
 // Contains reports whether the key's artifact is resident, without
 // touching counters or LRU order (test and snapshot introspection).
-func (c *Cache) Contains(k campaign.SetupKey, rank int) bool {
+func (c *Cache) Contains(k SetupKey, rank int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_, ok := c.setups[setupEntryKey{SetupKey: k, rank: rank}]
@@ -205,9 +244,9 @@ func (c *Cache) Stats() CacheStats {
 	return st
 }
 
-// Env returns the campaign execution environment that routes one run's
+// Env returns the execution environment that routes one run's
 // assembly through this cache and its progress through the given sink
 // (nil for none).
-func (c *Cache) Env(progress func(attempt, iter int, relres float64)) *campaign.ExecEnv {
-	return &campaign.ExecEnv{Problems: c.Problem, Setups: c, Progress: progress}
+func (c *Cache) Env(progress func(attempt, iter int, relres float64)) *ExecEnv {
+	return &ExecEnv{Problems: c.Problem, Setups: c, Progress: progress}
 }

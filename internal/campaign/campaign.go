@@ -260,20 +260,33 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("campaign: %w", err)
 		}
 	}
-	seenNoise := map[string]bool{}
 	for _, nz := range s.Noises {
 		if err := nz.validate(); err != nil {
 			return fmt.Errorf("campaign: %w", err)
 		}
-		// The zero value and explicit "none" render identically; two
-		// axis entries with one rendering would expand to distinct
-		// cells with colliding run keys, which execute fine but can
-		// never aggregate — reject the spec instead.
-		k := nz.String()
-		if seenNoise[k] {
-			return fmt.Errorf("campaign: duplicate noise axis value %q", k)
+	}
+	// Two entries of one axis with one rendering (ranks [2, 2], or the
+	// zero noise value next to an explicit "none") would expand to
+	// distinct cells with colliding run keys, which execute fine but
+	// can never aggregate — reject the spec instead.
+	for _, ax := range []struct {
+		name string
+		vals []string
+	}{
+		{"solver", s.Solvers},
+		{"preconditioner", s.Preconds},
+		{"problem", s.Problems},
+		{"rank", rendered(s.Ranks, func(p int) string { return fmt.Sprint(p) })},
+		{"fault", rendered(s.Faults, FaultSpec.String)},
+		{"noise", rendered(s.Noises, NoiseSpec.String)},
+	} {
+		seen := map[string]bool{}
+		for _, k := range ax.vals {
+			if seen[k] {
+				return fmt.Errorf("campaign: duplicate %s axis value %q", ax.name, k)
+			}
+			seen[k] = true
 		}
-		seenNoise[k] = true
 	}
 	if s.Replicates < 1 {
 		return fmt.Errorf("campaign: replicates %d < 1", s.Replicates)
@@ -285,6 +298,15 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("campaign: max_restarts %d < 0", s.MaxRestarts)
 	}
 	return nil
+}
+
+// rendered maps an axis to the strings its values render as in keys.
+func rendered[T any](vals []T, render func(T) string) []string {
+	out := make([]string, len(vals))
+	for i, v := range vals {
+		out[i] = render(v)
+	}
+	return out
 }
 
 // Cell is one point of the expanded campaign grid. Index is the cell's

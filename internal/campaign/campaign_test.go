@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -29,6 +30,11 @@ func TestSpecValidate(t *testing.T) {
 		{"too many ranks", func(s *Spec) { s.Ranks = []int{1 << 20} }, "rank count"},
 		{"no replicates", func(s *Spec) { s.Replicates = 0 }, "replicates"},
 		{"tiny grid", func(s *Spec) { s.Grid = 2 }, "grid"},
+		{"duplicate solver", func(s *Spec) { s.Solvers = append(s.Solvers, s.Solvers[0]) }, "duplicate solver axis value"},
+		{"duplicate ranks", func(s *Spec) { s.Ranks = []int{2, 4, 2} }, `duplicate rank axis value "2"`},
+		{"aliased faults", func(s *Spec) {
+			s.Faults = []FaultSpec{{Model: FaultBitflip, Rate: 1e-3}, {Model: FaultBitflip, Rate: 0.001}}
+		}, "duplicate fault axis value"},
 	}
 	for _, tc := range cases {
 		s := QuickSpec()
@@ -157,4 +163,43 @@ func TestParseShard(t *testing.T) {
 			t.Errorf("ParseShard(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzSpec: decoding any JSON into a Spec, validating it and expanding
+// its grid never panics, and a valid spec's cells carry dense indices
+// and distinct keys (colliding run keys could never aggregate).
+func FuzzSpec(f *testing.F) {
+	for _, s := range []Spec{QuickSpec(), FullSpec(), testSpec()} {
+		b, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"name":"d","solvers":["cg"],"preconds":["none"],"problems":["poisson"],"ranks":[2,2],"faults":[{"model":"none"}],"replicates":1,"grid":4,"tol":1e-6,"max_iter":1}`))
+	f.Add([]byte(`{"name":"n","noises":[{},{"model":"none"}]}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Spec
+		if json.Unmarshal(data, &s) != nil || s.Validate() != nil {
+			return
+		}
+		// Bound the grid the harness expands, not what it checks:
+		// a few hundred bytes of distinct rank counts and faults can
+		// multiply to more cells than fit in memory.
+		size := len(s.Solvers) * len(s.Preconds) * len(s.Problems) * len(s.Ranks) * len(s.Faults) * max(1, len(s.Noises))
+		if size > 1<<16 {
+			return
+		}
+		seen := make(map[string]bool)
+		for i, c := range s.Cells() {
+			if c.Index != i {
+				t.Fatalf("cell %d carries index %d", i, c.Index)
+			}
+			if seen[c.Key()] {
+				t.Fatalf("duplicate cell key %s", c.Key())
+			}
+			seen[c.Key()] = true
+		}
+	})
 }

@@ -34,6 +34,10 @@ type Env struct {
 	// their own sub-stacks (ftgmres builds the faulty inner operator
 	// and preconditioner from it).
 	A *la.CSR
+	// prob is the problem A belongs to: runners bind their extra
+	// operators through it, so a cached problem's CSR plans serve them
+	// too.
+	prob Problem
 	// M is the preconditioner (nil for none); already fault-wrapped
 	// under the faulty-precond model.
 	M krylov.DistPreconditioner
@@ -163,7 +167,7 @@ func runFTGMRES(env *Env) (Outcome, error) {
 	case FaultFaultyPrecond:
 		precRate = env.Fault.Rate
 	}
-	var inner dist.Operator = dist.NewCSR(env.C, env.A)
+	var inner dist.Operator = env.prob.csr(env.C)
 	if env.kill != nil {
 		// The inner solve performs most of the rank's operator
 		// applications; it must tick the same MTBF countdown as the
@@ -231,6 +235,8 @@ type Problem struct {
 	A          *la.CSR
 	RHS        []float64
 	LMin, LMax float64 // SPD spectral bounds; 0,0 when unavailable
+
+	plans *csrPlans // per-rank CSR plans of A; set only by Cache
 }
 
 // laplaceBounds returns the exact extreme eigenvalues of the
@@ -289,35 +295,25 @@ type SetupKey struct {
 	Precond string
 }
 
-// SetupCache shares preconditioner Setup artifacts across runs. Lookup
-// returns the artifact for one rank of a key (nil = miss: the rank runs
-// its own Setup and offers the export back through Store). Lookup and
-// Store are called from the rank goroutines of concurrently executing
-// runs, so implementations must be safe for concurrent use; they are
-// only consulted for precond.Cacheable families, so a cache's hit/miss
-// counters never see the uncacheable ones.
-type SetupCache interface {
-	Lookup(k SetupKey, rank int) *precond.Artifact
-	Store(k SetupKey, rank int, a *precond.Artifact)
-}
-
 // ExecEnv is the optional execution environment of one run — the hooks
-// an embedding service (internal/service) uses to reuse assembly work
-// across requests and to observe progress. A nil *ExecEnv or the zero
-// value is plain hookless execution.
+// an embedding service (internal/service) uses to bring its own setup
+// cache and to observe progress. A nil *ExecEnv or the zero value is
+// hookless execution through the process-wide default Cache.
 type ExecEnv struct {
 	// Ledger, when non-nil, aggregates communication activity over
 	// every world the run creates.
 	Ledger *comm.Ledger
-	// Problems, when non-nil, resolves problem assembly (a cache
-	// hook); nil falls back to BuildProblem for every run. Returned
-	// problems are shared read-only across runs and ranks.
+	// Problems, when non-nil, resolves problem assembly; Setups, when
+	// non-nil, shares preconditioner Setup artifacts across runs. When
+	// both are nil the run uses the process-wide default Cache for
+	// both (problem, CSR plans and Setup artifacts); setting either
+	// replaces the default for both, so Problems alone (BuildProblem,
+	// say) runs with no cache at all. Returned problems are shared
+	// read-only across runs and ranks. Adopting an artifact charges
+	// the same virtual cost as running Setup (see precond.Cacheable),
+	// so cached and fresh runs agree bitwise.
 	Problems func(name string, grid int) (Problem, error)
-	// Setups, when non-nil, shares preconditioner Setup artifacts
-	// across runs. Adopting an artifact charges the same virtual cost
-	// as running Setup (see precond.Cacheable), so cached and fresh
-	// runs agree bitwise.
-	Setups SetupCache
+	Setups   *Cache
 	// Progress, when non-nil, receives rank 0's per-iteration progress
 	// (global-restart attempt, iteration, relative residual), called
 	// from the rank-0 goroutine of the running world. It must not
@@ -331,12 +327,13 @@ type ExecEnv struct {
 	Discards func(attempt, solve int)
 	// Tracer, when non-nil, records the run's event timeline (see
 	// internal/obs): run/attempt spans, rank-0 iterations, per-rank
-	// fault injections, rank kills, restarts, setup-cache hits and
-	// inner discards, all stamped with virtual time made monotone
-	// across global-restart attempts. Like the caches, tracing never
-	// perturbs the solve: traces of a seeded run are byte-identical
-	// across reruns (caveat: under rank-kill, survivor-side timings are
-	// scheduling-dependent in their trailing digits — see comm.Die).
+	// fault injections, rank kills, restarts, inner discards and —
+	// with a caller-supplied Setups — setup-cache hits and misses, all
+	// stamped with virtual time made monotone across global-restart
+	// attempts. Like the caches, tracing never perturbs the solve:
+	// traces of a seeded run are byte-identical across reruns (caveat:
+	// under rank-kill, survivor-side timings are scheduling-dependent
+	// in their trailing digits — see comm.Die).
 	Tracer *obs.RunTracer
 	// TraceAllRanks lifts the Tracer's rank-0 span filter: every rank's
 	// phase spans are captured through a race-safe per-rank fan-in and
@@ -355,6 +352,12 @@ type ExecEnv struct {
 	// runs, so the observer must be safe for concurrent use.
 	OnSpan func(rank int, phase string, start, end, wait float64)
 }
+
+// defaultCache is the setup cache of every run whose caller supplies
+// neither ExecEnv.Problems nor ExecEnv.Setups. Its hits and misses are
+// not traced: which run misses first depends on worker scheduling, and
+// traces must not.
+var defaultCache = NewCache()
 
 // buildPrecond constructs the named preconditioner over the trusted
 // operator. Chebyshev applies the *clean* operator internally — faults
@@ -400,7 +403,9 @@ func setupUncachedOrAdopt(c *comm.Comm, m precond.Preconditioner, env *ExecEnv, 
 		if ca, ok := m.(precond.Cacheable); ok {
 			if art := env.Setups.Lookup(key, c.Rank()); art != nil {
 				if err := ca.Adopt(art); err == nil {
-					tc.emit(c.Rank(), c.Clock(), "setup_cache_hit", 0, 0, key.Precond)
+					if env.Setups != defaultCache {
+						tc.emit(c.Rank(), c.Clock(), "setup_cache_hit", 0, 0, key.Precond)
+					}
 					return nil
 				}
 				// A mismatched artifact (stale or corrupt cache entry)
@@ -411,7 +416,9 @@ func setupUncachedOrAdopt(c *comm.Comm, m precond.Preconditioner, env *ExecEnv, 
 				return err
 			}
 			env.Setups.Store(key, c.Rank(), ca.Export())
-			tc.emit(c.Rank(), c.Clock(), "setup_cache_miss", 0, 0, key.Precond)
+			if env.Setups != defaultCache {
+				tc.emit(c.Rank(), c.Clock(), "setup_cache_miss", 0, 0, key.Precond)
+			}
 			return nil
 		}
 	}
@@ -490,7 +497,7 @@ type attemptState struct {
 // this rank (fault wiring included) and dispatch the cell's Runner.
 func runRank(c *comm.Comm, spec *Spec, cell Cell, p Problem, seed uint64, att *attemptState, xe *ExecEnv, attempt int, tc *traceCtx) error {
 	assemble := c.SpanStart()
-	trusted := dist.NewCSR(c, p.A)
+	trusted := p.csr(c)
 	// Assembly is replicated and communication-free in this model, so the
 	// span is an honest zero-width marker on the timeline.
 	c.SpanEnd(obs.PhaseAssemble, assemble)
@@ -567,7 +574,7 @@ func runRank(c *comm.Comm, spec *Spec, cell Cell, p Problem, seed uint64, att *a
 		hook = krylov.ChainHooks(progress, trace)
 	}
 	out, err := run(&Env{
-		C: c, Op: op, A: p.A, M: m, B: trusted.Scatter(p.RHS),
+		C: c, Op: op, A: p.A, prob: p, M: m, B: trusted.Scatter(p.RHS),
 		Precond: cell.Precond, Fault: cell.Fault, Seed: seed, kill: kill,
 		Tol: spec.Tol, MaxIter: spec.MaxIter, Hook: hook,
 		setupKey: key, xe: xe, attempt: attempt, tc: tc,
@@ -609,7 +616,7 @@ func noiseModel(n NoiseSpec) machine.Noise {
 // assembly caches and a progress sink (see ExecEnv). Results are
 // bitwise independent of the environment — caching skips real work,
 // never virtual work — which is the property the solve service's
-// loadgen test pins.
+// loadgen test and TestDefaultCacheByteIdentical pin.
 //
 // Under the rank-kill model the run is a checkpoint/restart loop at
 // solve granularity: an attempt that loses a rank charges the victim's
@@ -619,6 +626,11 @@ func noiseModel(n NoiseSpec) machine.Noise {
 func ExecuteRunEnv(spec *Spec, cell Cell, rep int, env *ExecEnv) Record {
 	if env == nil {
 		env = &ExecEnv{}
+	}
+	if env.Problems == nil && env.Setups == nil {
+		e := *env
+		e.Problems, e.Setups = defaultCache.Problem, defaultCache
+		env = &e
 	}
 	rec := cell.Record(spec, rep)
 	tr := env.Tracer

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"testing"
+	"time"
 )
 
 // testSpec is the miniature campaign the engine tests run: 8 cells,
@@ -203,5 +204,52 @@ func TestExecuteRunRecordsConfigErrors(t *testing.T) {
 	rec := ExecuteRun(&spec, cell, 0, nil)
 	if rec.Err == "" {
 		t.Error("unknown problem did not record an error")
+	}
+}
+
+// quickRun executes one run of the quick grid under the given campaign
+// seed, named by its run key, failing the test if it does not return
+// within a minute.
+func quickRun(t *testing.T, seed uint64, runKey string) Record {
+	t.Helper()
+	spec := QuickSpec()
+	spec.Seed = seed
+	for _, cell := range spec.Cells() {
+		for rep := 0; rep < spec.Replicates; rep++ {
+			if cell.RunKey(rep) != runKey {
+				continue
+			}
+			done := make(chan Record, 1)
+			go func() { done <- ExecuteRun(&spec, cell, rep, nil) }()
+			select {
+			case rec := <-done:
+				return rec
+			case <-time.After(time.Minute):
+				t.Fatalf("%s (seed %d) did not return", runKey, seed)
+			}
+		}
+	}
+	t.Fatalf("no run %s in the quick grid", runKey)
+	return Record{}
+}
+
+// TestFGMRESNonFiniteIterateTerminates: a bit flip that makes the
+// FGMRES iterate non-finite used to send the solver into an endless
+// restart loop that never advanced its iteration count. The run must
+// now end unconverged with the -1 residual sentinel.
+func TestFGMRESNonFiniteIterateTerminates(t *testing.T) {
+	rec := quickRun(t, 104, "fgmres/none/aniso/p4/bitflip@0.001/r2")
+	if rec.Err != "" || rec.Converged || rec.Relres != -1 {
+		t.Fatalf("want an unconverged run with relres -1, got %+v", rec)
+	}
+}
+
+// TestFGMRESNoFalseConvergence: a breakdown at FGMRES's very first
+// Arnoldi step used to report convergence with zero iterations and a
+// zero residual — a silent wrong answer.
+func TestFGMRESNoFalseConvergence(t *testing.T) {
+	rec := quickRun(t, 100, "fgmres/none/poisson/p4/bitflip@0.001/r2")
+	if rec.Err != "" || (rec.Converged && (rec.Iters == 0 || rec.Relres > QuickSpec().Tol)) {
+		t.Fatalf("false convergence: %+v", rec)
 	}
 }

@@ -2,46 +2,8 @@ package campaign
 
 import (
 	"encoding/json"
-	"sync"
 	"testing"
-
-	"repro/internal/precond"
 )
-
-// mapCache is a minimal SetupCache for tests.
-type mapCache struct {
-	mu           sync.Mutex
-	m            map[string]*precond.Artifact
-	hits, misses int
-}
-
-func newMapCache() *mapCache { return &mapCache{m: map[string]*precond.Artifact{}} }
-
-func (c *mapCache) key(k SetupKey, rank int) string {
-	return k.Problem + "/" + k.Precond + string(rune('0'+rank))
-}
-
-// Lookup implements SetupCache.
-func (c *mapCache) Lookup(k SetupKey, rank int) *precond.Artifact {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	a := c.m[c.key(k, rank)]
-	if a != nil {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return a
-}
-
-// Store implements SetupCache.
-func (c *mapCache) Store(k SetupKey, rank int, a *precond.Artifact) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[c.key(k, rank)]; !ok && a != nil {
-		c.m[c.key(k, rank)] = a
-	}
-}
 
 // TestFTGMRESInnerSetupUsesCache: ftgmres builds its inner block-ILU
 // itself, but the factorisation's identity is the same (problem, grid,
@@ -63,11 +25,13 @@ func TestFTGMRESInnerSetupUsesCache(t *testing.T) {
 		t.Fatalf("spec expands to %d cells, want 1", len(cells))
 	}
 
-	// Uncached oracle.
-	plain0 := ExecuteRun(&spec, cells[0], 0, nil)
-	plain1 := ExecuteRun(&spec, cells[0], 1, nil)
+	// Uncached oracle: a caller-supplied Problems bypasses the default
+	// cache.
+	uncached := &ExecEnv{Problems: BuildProblem}
+	plain0 := ExecuteRunEnv(&spec, cells[0], 0, uncached)
+	plain1 := ExecuteRunEnv(&spec, cells[0], 1, uncached)
 
-	cache := newMapCache()
+	cache := NewCache()
 	env := &ExecEnv{Setups: cache}
 	cached0 := ExecuteRunEnv(&spec, cells[0], 0, env)
 	cached1 := ExecuteRunEnv(&spec, cells[0], 1, env)
@@ -79,13 +43,11 @@ func TestFTGMRESInnerSetupUsesCache(t *testing.T) {
 			t.Errorf("cached ftgmres run differs from uncached:\n%s\n%s", cb, pb)
 		}
 	}
-	cache.mu.Lock()
-	hits, misses := cache.hits, cache.misses
-	cache.mu.Unlock()
-	if misses != 2 {
-		t.Errorf("cache saw %d misses, want 2 (one per rank on the first run)", misses)
+	st := cache.Stats()
+	if st.SetupMisses != 2 {
+		t.Errorf("cache saw %d misses, want 2 (one per rank on the first run)", st.SetupMisses)
 	}
-	if hits != 2 {
-		t.Errorf("cache saw %d hits, want 2 (one per rank on the second run) — ftgmres's inner ILU is bypassing the setup cache", hits)
+	if st.SetupHits != 2 {
+		t.Errorf("cache saw %d hits, want 2 (one per rank on the second run) — ftgmres's inner ILU is bypassing the setup cache", st.SetupHits)
 	}
 }

@@ -21,15 +21,32 @@ import (
 // SKP correction path) and lets LocalColSums-based checksums validate
 // against exactly what the kernel consumed.
 //
-// Construction is deterministic and communication-free: every rank is
-// given the same replicated global matrix (the SPMD convention of this
-// codebase), so each rank derives both its receive plan and its
-// neighbours' needs by inspecting the global sparsity directly. Two
-// CSRs built from the same matrix therefore use the identical column
-// remap, making their products bitwise comparable.
+// A CSR is a CSRPlan bound to one rank's communicator: the plan holds
+// everything derived from the matrix, the CSR only its own operand and
+// halo buffers. Two CSRs bound from the same plan therefore use the
+// identical column remap, making their products bitwise comparable.
 type CSR struct {
-	c      *comm.Comm
+	plan *CSRPlan
+	c    *comm.Comm
+
+	xbuf []float64 // operand buffer: [owned | ghosts], persists across Applies
+	halo []float64 // pack and landing scratch (Send and RecvInto copy the payload)
+}
+
+// CSRPlan is the immutable, communication-free part of one rank's CSR
+// slab: the local rows with remapped columns and the halo send/receive
+// plan. It is a pure function of (matrix, rank count, rank), holds no
+// communicator and no per-Apply state, and is never written after
+// PlanCSR returns, so one plan may be bound by any number of worlds,
+// concurrently — which is what lets a setup cache share it across runs.
+//
+// Construction is deterministic: every rank derives both its receive
+// plan and its neighbours' needs by inspecting the replicated global
+// sparsity directly (the SPMD convention of this codebase), so the
+// shipments line up without any plan-exchange communication.
+type CSRPlan struct {
 	pt     Partition
+	rank   int
 	lo, hi int // owned global row range
 	rows   int // global dimension
 
@@ -40,8 +57,8 @@ type CSR struct {
 	colIdx []int
 	val    []float64
 
-	xbuf    []float64 // operand buffer: [owned | ghosts], persists across Applies
-	normInf float64   // global infinity norm, precomputed
+	nghost  int     // ghost columns, the tail of the operand buffer
+	normInf float64 // global infinity norm, precomputed
 
 	sends []haloSend
 	recvs []haloRecv
@@ -50,31 +67,43 @@ type CSR struct {
 // haloSend lists the owned entries one neighbour's slab references.
 type haloSend struct {
 	rank int
-	idx  []int     // local owned indices, ascending global order
-	buf  []float64 // reusable pack buffer (Send copies the payload)
+	idx  []int // local owned indices, ascending global order
 }
 
-// haloRecv lists where one neighbour's shipment lands in xbuf.
+// haloRecv lists where one neighbour's shipment lands in the operand
+// buffer.
 type haloRecv struct {
 	rank int
-	pos  []int     // xbuf positions, ascending global order (matches sender)
-	buf  []float64 // reusable landing buffer (RecvInto copies the payload)
+	pos  []int // operand-buffer positions, ascending global order (matches sender)
 }
 
-// NewCSR builds rank c.Rank()'s slab of the square global matrix a.
-// Every rank must call it with the same matrix. Panics if a is not
-// square or the world has more ranks than rows.
+// NewCSR builds rank c.Rank()'s slab of the square global matrix a:
+// PlanCSR(a, c.Size(), c.Rank()).Bind(c). Every rank must call it with
+// the same matrix. Panics if a is not square or the world has more
+// ranks than rows.
 func NewCSR(c *comm.Comm, a *la.CSR) *CSR {
+	return PlanCSR(a, c.Size(), c.Rank()).Bind(c)
+}
+
+// PlanCSR derives rank's slab and halo plan of the square global
+// matrix a distributed over nranks ranks. The plan copies what it
+// needs from a; a may be mutated afterwards without affecting it.
+// Panics if a is not square, nranks exceeds its rows, or rank is out
+// of range.
+func PlanCSR(a *la.CSR, nranks, rank int) *CSRPlan {
 	if a.Rows != a.Cols {
 		panic("dist: NewCSR needs a square matrix")
 	}
-	checkWorld(c, a.Rows, "matrix")
-	m := &CSR{
-		c:    c,
-		pt:   Partition{N: a.Rows, P: c.Size()},
+	checkRanks(nranks, a.Rows, "matrix")
+	if rank < 0 || rank >= nranks {
+		panic("dist: plan rank out of range")
+	}
+	m := &CSRPlan{
+		pt:   Partition{N: a.Rows, P: nranks},
+		rank: rank,
 		rows: a.Rows,
 	}
-	m.lo, m.hi = m.pt.Range(c.Rank())
+	m.lo, m.hi = m.pt.Range(rank)
 	nl := m.hi - m.lo
 
 	// Ghost columns: referenced by my rows, owned elsewhere. Sorted so
@@ -110,7 +139,7 @@ func NewCSR(c *comm.Comm, a *la.CSR) *CSR {
 		}
 		m.rowPtr[i+1] = len(m.colIdx)
 	}
-	m.xbuf = make([]float64, nl+len(ghosts))
+	m.nghost = len(ghosts)
 	m.normInf = a.NormInf()
 
 	// Receive plan: my ghosts grouped by owning rank.
@@ -121,15 +150,15 @@ func NewCSR(c *comm.Comm, a *la.CSR) *CSR {
 			pos = append(pos, nl+k)
 			k++
 		}
-		m.recvs = append(m.recvs, haloRecv{rank: owner, pos: pos, buf: make([]float64, len(pos))})
+		m.recvs = append(m.recvs, haloRecv{rank: owner, pos: pos})
 	}
 
 	// Send plan: scan each other rank's rows for references into my
 	// range. The same deterministic derivation runs on the peer's side
 	// for its receive plan, so the shipments line up without any
 	// plan-exchange communication.
-	for r := 0; r < c.Size(); r++ {
-		if r == c.Rank() {
+	for r := 0; r < nranks; r++ {
+		if r == rank {
 			continue
 		}
 		rlo, rhi := m.pt.Range(r)
@@ -149,9 +178,26 @@ func NewCSR(c *comm.Comm, a *la.CSR) *CSR {
 			idx = append(idx, j-m.lo)
 		}
 		sort.Ints(idx)
-		m.sends = append(m.sends, haloSend{rank: r, idx: idx, buf: make([]float64, len(idx))})
+		m.sends = append(m.sends, haloSend{rank: r, idx: idx})
 	}
 	return m
+}
+
+// Bind returns the plan's operator on communicator c, with fresh
+// operand and halo buffers of its own. Panics unless c is the plan's
+// rank in a world of the plan's size.
+func (p *CSRPlan) Bind(c *comm.Comm) *CSR {
+	if c.Size() != p.pt.P || c.Rank() != p.rank {
+		panic("dist: CSR plan bound to a different rank or world size")
+	}
+	n := 0
+	for _, s := range p.sends {
+		n = max(n, len(s.idx))
+	}
+	for _, r := range p.recvs {
+		n = max(n, len(r.pos))
+	}
+	return &CSR{plan: p, c: c, xbuf: make([]float64, p.hi-p.lo+p.nghost), halo: make([]float64, n)}
 }
 
 // Apply computes y = A·x for this rank's slab: halo exchange (one
@@ -159,27 +205,30 @@ func NewCSR(c *comm.Comm, a *la.CSR) *CSR {
 // the local SpMV. Errors from the exchange — comm.ErrRankFailed on a
 // survivor, comm.ErrKilled on the failed rank — propagate unchanged.
 func (m *CSR) Apply(x, y []float64) error {
-	nl := m.hi - m.lo
+	p := m.plan
+	nl := p.hi - p.lo
 	la.CheckLen("x", x, nl)
 	la.CheckLen("y", y, nl)
 	copy(m.xbuf[:nl], x)
 	halo, mark := m.c.SpanStart(), m.c.WaitMark()
 	// Sends are buffered and never block, so posting all sends before
 	// any receive cannot deadlock even when every rank applies at once.
-	for _, s := range m.sends {
-		for k, i := range s.idx {
-			s.buf[k] = x[i]
+	for _, s := range p.sends {
+		buf := m.halo[:len(s.idx)]
+		for q, i := range s.idx {
+			buf[q] = x[i]
 		}
-		if err := m.c.Send(s.rank, tagCSRHalo, s.buf); err != nil {
+		if err := m.c.Send(s.rank, tagCSRHalo, buf); err != nil {
 			return err
 		}
 	}
-	for _, rcv := range m.recvs {
-		if _, err := m.c.RecvInto(rcv.rank, tagCSRHalo, rcv.buf); err != nil {
+	for _, rcv := range p.recvs {
+		buf := m.halo[:len(rcv.pos)]
+		if _, err := m.c.RecvInto(rcv.rank, tagCSRHalo, buf); err != nil {
 			return err
 		}
-		for k, pos := range rcv.pos {
-			m.xbuf[pos] = rcv.buf[k]
+		for q, pos := range rcv.pos {
+			m.xbuf[pos] = buf[q]
 		}
 	}
 	m.c.SpanEndWait(obs.PhaseHaloExchange, halo, mark)
@@ -193,16 +242,17 @@ func (m *CSR) Apply(x, y []float64) error {
 // repaired without touching the network (the SKP correction path).
 func (m *CSR) ApplyLocal(y []float64) {
 	start := m.c.SpanStart()
-	nl := m.hi - m.lo
+	p := m.plan
+	nl := p.hi - p.lo
 	la.CheckLen("y", y, nl)
 	for i := 0; i < nl; i++ {
 		s := 0.0
-		for q := m.rowPtr[i]; q < m.rowPtr[i+1]; q++ {
-			s += m.val[q] * m.xbuf[m.colIdx[q]]
+		for q := p.rowPtr[i]; q < p.rowPtr[i+1]; q++ {
+			s += p.val[q] * m.xbuf[p.colIdx[q]]
 		}
 		y[i] = s
 	}
-	m.c.Compute(2 * float64(len(m.val)))
+	m.c.Compute(2 * float64(len(p.val)))
 	m.c.SpanEnd(obs.PhaseSpMV, start)
 }
 
@@ -218,35 +268,35 @@ func (m *CSR) XBuffer() []float64 { return m.xbuf }
 // identity skp.DistCheckedOp validates.
 func (m *CSR) LocalColSums() []float64 {
 	cs := make([]float64, len(m.xbuf))
-	for q, j := range m.colIdx {
-		cs[j] += m.val[q]
+	for q, j := range m.plan.colIdx {
+		cs[j] += m.plan.val[q]
 	}
 	return cs
 }
 
 // LocalLen implements Operator.
-func (m *CSR) LocalLen() int { return m.hi - m.lo }
+func (m *CSR) LocalLen() int { return m.plan.hi - m.plan.lo }
 
 // GlobalLen implements Operator.
-func (m *CSR) GlobalLen() int { return m.rows }
+func (m *CSR) GlobalLen() int { return m.plan.rows }
 
 // NormInf implements Operator: the exact global infinity norm.
-func (m *CSR) NormInf() float64 { return m.normInf }
+func (m *CSR) NormInf() float64 { return m.plan.normInf }
 
 // Lo returns the first global row this rank owns.
-func (m *CSR) Lo() int { return m.lo }
+func (m *CSR) Lo() int { return m.plan.lo }
 
 // Scatter returns a fresh copy of this rank's slab of a replicated
 // global vector.
 func (m *CSR) Scatter(global []float64) []float64 {
-	la.CheckLen("global", global, m.rows)
-	return la.Copy(global[m.lo:m.hi])
+	la.CheckLen("global", global, m.plan.rows)
+	return la.Copy(global[m.plan.lo:m.plan.hi])
 }
 
 // Gather assembles the distributed vector whose local slab is local
 // into a full global vector on every rank (rank-order concatenation is
 // global order for a block-row layout). One Allgather.
 func (m *CSR) Gather(local []float64) ([]float64, error) {
-	la.CheckLen("local", local, m.hi-m.lo)
+	la.CheckLen("local", local, m.LocalLen())
 	return m.c.Allgather(local)
 }

@@ -106,11 +106,14 @@ func (pt Partition) Owner(i int) int {
 // items: neighbour-exchange operators identify halo partners by rank
 // adjacency, which requires non-empty slabs (the same constraint the
 // LFLR applications enforce).
-func checkWorld(c *comm.Comm, n int, what string) {
+func checkWorld(c *comm.Comm, n int, what string) { checkRanks(c.Size(), n, what) }
+
+// checkRanks is checkWorld for a world of nranks ranks.
+func checkRanks(nranks, n int, what string) {
 	if n < 1 {
 		panic("dist: " + what + " needs at least one row")
 	}
-	if c.Size() > n {
+	if nranks > n {
 		panic("dist: more ranks than " + what + " rows")
 	}
 }

@@ -65,7 +65,8 @@ func DistFGMRES(c *comm.Comm, a dist.Operator, precon DistPreconditioner, b, x0 
 	y := make([]float64, m)
 	st.Residuals = makeResidualHistory(opts.MaxIter)
 
-	for st.Iterations < opts.MaxIter && !st.Converged {
+	diverged := false
+	for st.Iterations < opts.MaxIter && !st.Converged && !diverged {
 		if err := a.Apply(x, w); err != nil {
 			return x, st, err
 		}
@@ -78,9 +79,13 @@ func DistFGMRES(c *comm.Comm, a dist.Operator, precon DistPreconditioner, b, x0 
 			return x, st, err
 		}
 		st.Reductions++
-		if beta/bnorm <= opts.Tol {
+		// The restart's true residual stands until an iteration
+		// improves on it, so a breakdown before the first iteration
+		// cannot leave a stale (or initial zero) residual to pass the
+		// convergence check below.
+		st.FinalResidual = beta / bnorm
+		if st.FinalResidual <= opts.Tol {
 			st.Converged = true
-			st.FinalResidual = beta / bnorm
 			break
 		}
 		copy(v[0], r)
@@ -119,6 +124,15 @@ func DistFGMRES(c *comm.Comm, a dist.Operator, precon DistPreconditioner, b, x0 
 			st.Reductions++
 			c.SpanEnd(obs.PhaseOrthogonalize, mgs)
 			if math.IsNaN(hj1) || math.IsInf(hj1, 0) {
+				// Discard the cycle and restart from x. If the restart
+				// norm itself is non-finite, so is x's residual, and
+				// every restart would break down the same way without
+				// advancing: end the solve unconverged instead. beta is
+				// a global reduction, so every rank decides alike.
+				if math.IsNaN(beta) || math.IsInf(beta, 0) {
+					diverged = true
+					st.FinalResidual = math.NaN()
+				}
 				j = 0
 				break
 			}

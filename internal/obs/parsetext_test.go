@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"math"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -61,4 +64,49 @@ func keys(m map[string]float64) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+// FuzzParseText: the exposition parser never panics, and any input it
+// accepts means exactly its map — rendering the map back as one
+// "series value" line per key re-parses to the same map, bit for bit
+// (NaN included).
+func FuzzParseText(f *testing.F) {
+	r := NewRegistry()
+	r.Counter("fz_total", "c", Label{Key: "k", Value: "a b"}).Add(3)
+	r.Histogram("fz_seconds", "h", []float64{0.5}).Observe(1)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(b.String()))
+	f.Add([]byte("# HELP x\n\nx NaN\ny -Inf\nx 1e308\n"))
+	f.Add([]byte("no_value\n"))
+	f.Add([]byte(" \t\r\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ParseText(data)
+		if err != nil {
+			return
+		}
+		series := make([]string, 0, len(m))
+		for k := range m {
+			series = append(series, k)
+		}
+		sort.Strings(series)
+		var out strings.Builder
+		for _, k := range series {
+			out.WriteString(k + " " + strconv.FormatFloat(m[k], 'g', -1, 64) + "\n")
+		}
+		again, err := ParseText([]byte(out.String()))
+		if err != nil {
+			t.Fatalf("re-parse of %q failed: %v", out.String(), err)
+		}
+		if len(again) != len(m) {
+			t.Fatalf("re-parse has %d series, want %d", len(again), len(m))
+		}
+		for k, v := range m {
+			if w, ok := again[k]; !ok || math.Float64bits(w) != math.Float64bits(v) {
+				t.Fatalf("series %q: re-parsed %v (present %v), want %v", k, w, ok, v)
+			}
+		}
+	})
 }

@@ -24,12 +24,13 @@
 //     fails fast with 503 rather than letting latency grow without
 //     bound. Queue depth and in-flight counts are visible in /stats.
 //
-//   - A setup cache (cache.go): problem assembly keyed by (problem,
-//     grid) and preconditioner Setup artifacts keyed by (problem,
-//     grid, ranks, precond, rank) — see precond.Cacheable. A cache hit
-//     skips the real factorisation work but charges the same virtual
-//     cost, so cached results stay bitwise identical to uncached ones.
-//     Hit/miss counters are exposed in /stats.
+//   - A setup cache: the server's own campaign.Cache instance —
+//     problem assembly keyed by (problem, grid) with its per-rank CSR
+//     plans, and preconditioner Setup artifacts keyed by (problem,
+//     grid, ranks, precond, rank), see precond.Cacheable. A cache hit
+//     skips the real work but charges the same virtual cost, so cached
+//     results stay bitwise identical to uncached ones. Hit/miss
+//     counters are exposed in /stats.
 //
 //   - Streaming (stream.go): a solve request with "stream": true
 //     receives Server-Sent Events — one "progress" event per solver

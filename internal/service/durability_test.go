@@ -138,7 +138,7 @@ func dummyArtifact() *precond.Artifact { return &precond.Artifact{} }
 // goes first, lookups freshen, duplicate stores freshen instead of
 // reinserting, and shrinking the bound evicts immediately.
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache()
+	c := campaign.NewCache()
 	c.SetMaxEntries(2)
 	kA := campaign.SetupKey{Problem: "poisson", Grid: 8, Ranks: 2, Precond: "jacobi"}
 	kB := campaign.SetupKey{Problem: "poisson", Grid: 10, Ranks: 2, Precond: "jacobi"}

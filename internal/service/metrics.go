@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/obs"
 )
 
@@ -73,27 +74,27 @@ func (s *Server) initMetrics() {
 	r.CounterFunc("repro_runs_rejected_total",
 		"Runs refused by a full queue (503 backpressure).", sample(&s.rejected))
 
-	cacheStat := func(pick func(CacheStats) int64) func() float64 {
+	cacheStat := func(pick func(campaign.CacheStats) int64) func() float64 {
 		return func() float64 { return float64(pick(s.cache.Stats())) }
 	}
 	r.CounterFunc("repro_problem_cache_hits_total",
 		"Problem assemblies served from the cache.",
-		cacheStat(func(cs CacheStats) int64 { return cs.ProblemHits }))
+		cacheStat(func(cs campaign.CacheStats) int64 { return cs.ProblemHits }))
 	r.CounterFunc("repro_problem_cache_misses_total",
 		"Problem assemblies built fresh.",
-		cacheStat(func(cs CacheStats) int64 { return cs.ProblemMisses }))
+		cacheStat(func(cs campaign.CacheStats) int64 { return cs.ProblemMisses }))
 	r.CounterFunc("repro_setup_cache_hits_total",
 		"Preconditioner setups adopted from the cache.",
-		cacheStat(func(cs CacheStats) int64 { return cs.SetupHits }))
+		cacheStat(func(cs campaign.CacheStats) int64 { return cs.SetupHits }))
 	r.CounterFunc("repro_setup_cache_misses_total",
 		"Preconditioner setups factorised fresh.",
-		cacheStat(func(cs CacheStats) int64 { return cs.SetupMisses }))
+		cacheStat(func(cs campaign.CacheStats) int64 { return cs.SetupMisses }))
 	r.CounterFunc("repro_setup_cache_evictions_total",
 		"Preconditioner setup artifacts dropped by the LRU size bound.",
-		cacheStat(func(cs CacheStats) int64 { return cs.SetupEvictions }))
+		cacheStat(func(cs campaign.CacheStats) int64 { return cs.SetupEvictions }))
 	r.GaugeFunc("repro_setup_cache_entries",
 		"Preconditioner setup artifacts currently resident (per-rank slots).",
-		cacheStat(func(cs CacheStats) int64 { return cs.SetupEntries }))
+		cacheStat(func(cs campaign.CacheStats) int64 { return cs.SetupEntries }))
 
 	// Durability counters: sampled from the journal layer at scrape
 	// time (all zero while the server runs without -journal-dir), so

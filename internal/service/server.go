@@ -77,7 +77,7 @@ type Server struct {
 	sampleK  int
 	sampleN  int
 	pool     *pool
-	cache    *Cache
+	cache    *campaign.Cache
 	durable  *durable
 	mux      *http.ServeMux
 	start    time.Time
@@ -136,7 +136,7 @@ func New(opts Options) (*Server, error) {
 		sampleK:   sampleK,
 		sampleN:   sampleN,
 		pool:      newPool(opts.Workers, opts.Queue),
-		cache:     NewCache(),
+		cache:     campaign.NewCache(),
 		mux:       http.NewServeMux(),
 		start:     time.Now(),
 		endpoints: make(map[string]*obs.Counter),
@@ -180,7 +180,7 @@ func (s *Server) Close() {
 }
 
 // Cache exposes the server's setup cache (tests and /stats).
-func (s *Server) Cache() *Cache { return s.cache }
+func (s *Server) Cache() *campaign.Cache { return s.cache }
 
 // HealthzResponse is the body of GET /healthz.
 type HealthzResponse struct {
@@ -255,7 +255,7 @@ type StatsResponse struct {
 	// the same counters repro_http_requests_total exposes on /metrics.
 	Endpoints map[string]int64 `json:"endpoints"`
 	// Cache carries the setup cache's hit/miss/eviction counters.
-	Cache CacheStats `json:"cache"`
+	Cache campaign.CacheStats `json:"cache"`
 	// Journal carries the durability counters; nil while the server
 	// runs without a journal directory.
 	Journal *JournalStats `json:"journal,omitempty"`
